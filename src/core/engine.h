@@ -6,12 +6,11 @@
  * explicit Stage objects run in order over a ModelWorkload's
  * (batch, head) grid. Each stage shards its work items — whole
  * heads for prediction/KV, (head, query-row tile) pairs for SADS
- * and SU-FA — across the common/threadpool: by default through the
- * dynamic `parallelForDynamic` chunk scheduler with units ordered
- * heaviest-first by a cost estimate (ragged batches load-balance),
- * or through the static `parallelFor` split when dynamicSharding is
- * off. Per-unit OpCounter tallies are merged by integer addition in
- * canonical unit order either way, so every result and count is
+ * and SU-FA — across the common/threadpool through the dynamic
+ * `parallelForDynamic` scheduler, one unit per claim, with units
+ * ordered heaviest-first by a cost estimate so ragged batches
+ * load-balance. Per-unit OpCounter tallies are merged by integer
+ * addition in canonical unit order, so every result and count is
  * bit-exact for any thread count and schedule, and identical to a
  * per-head `runSofaPipeline` loop.
  *
@@ -38,12 +37,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/tiler.h"
 #include "model/model_workload.h"
 
 namespace sofa {
@@ -58,36 +55,6 @@ struct EngineConfig
      * head's actual row count before sharding; smaller tiles expose
      * more parallelism, results never depend on it. */
     int rowTile = 64;
-    /**
-     * Plan the tile knobs per run with core/tiler: the run's shape
-     * (from its task list) and the detected machine descriptor pick
-     * the kernel panel/block sizes, the SU-FA row tile, the SADS
-     * span and the shard grain via planTiles(). Subject to the
-     * SOFA_AUTOTILE=0|1 override (autoTileEnabled). Off (default):
-     * rowTile above and the kernels' default tiling apply. Every
-     * plannable knob is results-neutral, so both modes are bit-exact
-     * vs each other.
-     */
-    bool autoTile = false;
-    /**
-     * Explicit tile plan: run every stage under exactly this plan
-     * (bench_tiler's per-candidate measurement, the grid
-     * bit-exactness property test, and schedulers that planned per
-     * request class via planForRequest). Takes precedence over
-     * autoTile and rowTile.
-     */
-    std::optional<TilePlan> fixedPlan;
-    /**
-     * Shard stage units with the pool's dynamic (work-stealing)
-     * scheduler, visiting units heaviest-first by a per-unit cost
-     * estimate, instead of one static near-equal split in unit
-     * order. Ragged task lists (mixed prefill/decode shapes) keep
-     * every participant busy this way. Either setting is bit-exact:
-     * per-unit tallies are merged in canonical unit order and unit
-     * outputs land in disjoint rows, so results never depend on the
-     * schedule.
-     */
-    bool dynamicSharding = true;
     /** Compute the reference-attention quality metrics (skippable:
      * the dense reference costs more than the sparse pipeline). */
     bool computeQuality = true;
@@ -194,10 +161,6 @@ class EngineRun
     EngineRun &operator=(const EngineRun &) = delete;
 
     std::size_t stageCount() const;
-    /** The tile plan this run executes under: the planner's choice
-     * when the config's autoTile is in effect, otherwise the
-     * config-derived fixed knobs. */
-    const TilePlan &plan() const;
     /** Index of the stage the next step() will execute. */
     std::size_t nextStage() const { return next_; }
     /** Name of that stage; nullptr once every stage has run. */

@@ -63,6 +63,8 @@ appendHeadTasks(const ModelWorkload &mw, bool kv_cold,
 AttentionWorkload
 sliceQueryRows(const AttentionWorkload &w, int r0, int r1)
 {
+    const int rows = static_cast<int>(w.q.rows());
+    SOFA_ASSERT(0 <= r0 && r0 <= r1 && r1 <= rows);
     AttentionWorkload s;
     s.spec = w.spec;
     s.spec.queries = r1 - r0;
@@ -127,24 +129,6 @@ degradedEngineConfig(const SchedulerConfig &cfg)
     // keeping them one function is what makes scheduler-degraded
     // runs bit-exact vs a standalone run of the degraded spec.
     return scaledKeepConfig(cfg.engine, cfg.degradeKeepFactor);
-}
-
-TilePlan
-planForRequest(const SchedulerConfig &cfg, const Request &r)
-{
-    TilePlan plan;
-    plan.rowTile = cfg.engine.rowTile;
-    plan.sadsSpan = cfg.engine.rowTile;
-    plan.prefillChunkRows = cfg.prefillChunkRows;
-    if (!autoTileEnabled(cfg.engine.autoTile))
-        return plan;
-    plan = planTiles(
-        tileShape(r.work, cfg.engine.pipeline.topkFrac));
-    plan.prefillChunkRows = 0;
-    const int rows = r.work.queryRows();
-    if (!r.work.isDecode() && rows > 4 * plan.rowTile)
-        plan.prefillChunkRows = 4 * plan.rowTile;
-    return plan;
 }
 
 /** Per-request in-flight state while its batch is being served.

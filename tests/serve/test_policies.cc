@@ -392,6 +392,24 @@ TEST(PrefillChunking, EachChunkBitExactVsStandaloneSliceRun)
                          r.engine.heads[i].result);
 }
 
+TEST(PrefillChunkingDeath, SliceQueryRowsRejectsBadRowRange)
+{
+    // sliceQueryRows is public API: a range outside [0, rows] or with
+    // r0 > r1 must fail loudly instead of indexing past Q/scores.
+    // Threadsafe style re-executes the binary, so the pools other
+    // tests in this process started never cross a fork.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    const ModelWorkload full = generateModelWorkload(prefillSpec());
+    const AttentionWorkload &w = full.head(0, 0);
+    const int rows = static_cast<int>(w.q.rows());
+    EXPECT_DEATH(sliceQueryRows(w, -1, 2), "assertion");
+    EXPECT_DEATH(sliceQueryRows(w, 3, 2), "assertion");
+    EXPECT_DEATH(sliceQueryRows(w, 0, rows + 1), "assertion");
+    // The full and the empty range stay valid.
+    EXPECT_EQ(sliceQueryRows(w, 0, rows).q.rows(), w.q.rows());
+    EXPECT_EQ(sliceQueryRows(w, rows, rows).q.rows(), 0u);
+}
+
 TEST(PrefillChunking, DecodeAndShortPrefillNeverChunk)
 {
     SchedulerConfig cfg;
