@@ -40,39 +40,40 @@ struct Cand
     }
 };
 
-/**
- * One sub-segment's local selection with the iterative 16-to-4 core.
- * Returns the segment's top-m candidates (descending), the elements
- * it clipped, and its best excluded candidate (for refinement).
- */
-struct SegmentResult
+/** Reusable per-call buffers, so rows and segments do not allocate. */
+struct SegmentScratch
 {
-    std::vector<Cand> selected;  ///< up to m, descending
-    std::vector<Cand> excluded;  ///< survivors that did not make it
-    std::int64_t clipped = 0;
+    std::vector<Cand> best;   ///< segment's top-2m so far, descending
+    std::vector<Cand> merged; ///< merge target, swapped into best
+    std::vector<Cand> batch;  ///< one sorter chunk's survivors
+    std::vector<std::int32_t> survivors;
 };
 
-SegmentResult
+/**
+ * One sub-segment's local selection with the iterative 16-to-4 core.
+ * Leaves in s.best the segment's strongest min(2m, survivors)
+ * candidates, descending: the first m are its selection, the rest its
+ * strongest excluded candidates (for refinement). Every survivor ends
+ * up either selected or excluded, so the 2m buffer holds both exactly.
+ * Returns the number of elements the clip filter blocked.
+ */
+std::int64_t
 segmentTopM(const float *row, int lo, int hi, int m,
-            const SadsConfig &cfg, float row_span, OpCounter &ops)
+            const SadsConfig &cfg, float row_span, OpCounter &ops,
+            SegmentScratch &s)
 {
-    SegmentResult res;
-    const int len = hi - lo;
-    if (len <= 0 || m <= 0)
-        return res;
+    s.best.clear();
+    if (hi <= lo || m <= 0)
+        return 0;
 
     // Adaptive clipping threshold state (Threshold Updating unit).
     float running_max = -std::numeric_limits<float>::infinity();
     float low_bound = -std::numeric_limits<float>::infinity();
     const bool clip_enabled = cfg.radiusFrac < 1.0;
     const float radius = static_cast<float>(cfg.radiusFrac) * row_span;
-
-    std::vector<Cand> buffer; // sorted descending, holds top-m so far
-    buffer.reserve(m + cfg.sorterInputs);
-    std::vector<Cand> batch;
-    batch.reserve(cfg.sorterInputs);
-    std::vector<std::int32_t> survivors(
-        static_cast<std::size_t>(cfg.sorterInputs));
+    const std::size_t cap = 2 * static_cast<std::size_t>(m);
+    s.survivors.resize(static_cast<std::size_t>(cfg.sorterInputs));
+    std::int64_t clipped = 0;
 
     int pos = lo;
     while (pos < hi) {
@@ -91,42 +92,37 @@ segmentTopM(const float *row, int lo, int hi, int m,
         ops.cmpN(chunk); // clip filter compare, one per element
         const std::size_t kept = simd::scanSurvivors(
             row + pos, static_cast<std::size_t>(chunk), threshold,
-            survivors.data());
-        res.clipped += chunk - static_cast<std::int64_t>(kept);
-        batch.clear();
-        for (std::size_t s = 0; s < kept; ++s) {
-            const int idx = pos + survivors[s];
-            batch.push_back({row[idx], idx});
+            s.survivors.data());
+        clipped += chunk - static_cast<std::int64_t>(kept);
+        s.batch.clear();
+        for (std::size_t i = 0; i < kept; ++i) {
+            const int idx = pos + s.survivors[i];
+            const Cand c{row[idx], idx};
+            running_max = std::max(running_max, c.value);
+            // Insertion sort: a chunk is at most sorterInputs long.
+            s.batch.push_back(c);
+            std::size_t j = s.batch.size() - 1;
+            for (; j > 0 && c < s.batch[j - 1]; --j)
+                s.batch[j] = s.batch[j - 1];
+            s.batch[j] = c;
         }
         pos += chunk;
-        if (batch.empty())
+        if (s.batch.empty())
             continue;
 
         // One 16-to-4 bitonic pass merges the batch with the current
         // buffer head; comparator count charged per pass.
         ops.cmpN(cfg.sorterComparators);
-        for (const Cand &c : batch) {
-            buffer.push_back(c);
-            running_max = std::max(running_max, c.value);
-        }
-        std::sort(buffer.begin(), buffer.end());
-        if (static_cast<int>(buffer.size()) > m) {
-            // Overflowed entries become excluded candidates.
-            for (std::size_t i = m; i < buffer.size(); ++i)
-                res.excluded.push_back(buffer[i]);
-            buffer.resize(m);
-        }
-        if (static_cast<int>(buffer.size()) == m)
-            low_bound = buffer.back().value;
+        s.merged.resize(s.best.size() + s.batch.size());
+        std::merge(s.best.begin(), s.best.end(), s.batch.begin(),
+                   s.batch.end(), s.merged.begin());
+        if (s.merged.size() > cap)
+            s.merged.resize(cap);
+        s.best.swap(s.merged);
+        if (s.best.size() >= static_cast<std::size_t>(m))
+            low_bound = s.best[static_cast<std::size_t>(m) - 1].value;
     }
-
-    res.selected = std::move(buffer);
-    // Keep only the strongest excluded candidates; hardware retains a
-    // handful for the refinement exchange.
-    std::sort(res.excluded.begin(), res.excluded.end());
-    if (static_cast<int>(res.excluded.size()) > m)
-        res.excluded.resize(m);
-    return res;
+    return clipped;
 }
 
 } // namespace
@@ -139,13 +135,18 @@ sadsTopKRows(const MatF &scores, int k, const SadsConfig &cfg,
     SOFA_ASSERT(cfg.segments >= 1);
     SOFA_ASSERT(cfg.sorterInputs >= 1);
     SOFA_ASSERT(rows->size() == scores.rows());
+    SOFA_ASSERT(row_begin <= row_end);
     SOFA_ASSERT(row_end <= scores.rows());
+    SOFA_ASSERT(k >= 0);
     const int S = static_cast<int>(scores.cols());
     const int n = std::min(cfg.segments, std::max(1, S));
     const int keep = std::min(k, S);
     const int per_seg = static_cast<int>(ceilDiv(keep, n));
 
     OpCounter &result_ops = *ops;
+    SegmentScratch scratch;
+    std::vector<Cand> selected;
+    std::vector<Cand> excluded;
     for (std::size_t r = row_begin; r < row_end; ++r) {
         const float *row = scores.rowPtr(r);
         SadsRow &out = (*rows)[r];
@@ -157,47 +158,51 @@ sadsTopKRows(const MatF &scores, int k, const SadsConfig &cfg,
         minmaxBlock(row, static_cast<std::size_t>(S), &mn, &mx);
         const float span = std::max(mx - mn, 1e-6f);
 
-        // Distributed per-segment selection.
-        std::vector<Cand> selected;
-        std::vector<Cand> excluded;
+        // Distributed per-segment selection: each segment's buffer
+        // splits into its top-m (selected) and next-best (excluded).
+        selected.clear();
+        excluded.clear();
         for (int seg = 0; seg < n; ++seg) {
             const int lo = static_cast<int>(
                 static_cast<std::int64_t>(seg) * S / n);
             const int hi = static_cast<int>(
                 static_cast<std::int64_t>(seg + 1) * S / n);
-            SegmentResult sr = segmentTopM(row, lo, hi, per_seg, cfg,
-                                           span, result_ops);
-            out.clipped += sr.clipped;
-            selected.insert(selected.end(), sr.selected.begin(),
-                            sr.selected.end());
-            excluded.insert(excluded.end(), sr.excluded.begin(),
-                            sr.excluded.end());
+            out.clipped += segmentTopM(row, lo, hi, per_seg, cfg, span,
+                                       result_ops, scratch);
+            const auto &best = scratch.best;
+            const auto mid = best.begin() +
+                             std::min<std::ptrdiff_t>(per_seg, best.size());
+            selected.insert(selected.end(), best.begin(), mid);
+            excluded.insert(excluded.end(), mid, best.end());
         }
-
-        std::sort(selected.begin(), selected.end());
-        std::sort(excluded.begin(), excluded.end());
 
         // Trim the union (n * ceil(k/n) >= k) down to k; the overflow
         // joins the excluded pool.
-        while (static_cast<int>(selected.size()) > keep) {
-            excluded.push_back(selected.back());
-            selected.pop_back();
+        std::sort(selected.begin(), selected.end());
+        if (static_cast<int>(selected.size()) > keep) {
+            excluded.insert(excluded.end(), selected.begin() + keep,
+                            selected.end());
+            selected.resize(static_cast<std::size_t>(keep));
         }
         std::sort(excluded.begin(), excluded.end());
 
         // Sphere-search refinement: swap the selected minimum with the
-        // excluded maximum while the exchange improves the set.
+        // excluded maximum while the exchange improves the set. The
+        // swapped-in element is inserted at its position in O(k)
+        // (the DSn exchange), since the rest of selected stays sorted.
         int iter = 0;
         std::size_t ex_head = 0;
         while (iter < cfg.refineIters && !selected.empty() &&
                ex_head < excluded.size()) {
             result_ops.cmpN(1 + n); // min-vs-max + per-segment reports
-            if (excluded[ex_head].value <= selected.back().value)
+            const Cand in = excluded[ex_head];
+            if (in.value <= selected.back().value)
                 break;
-            std::swap(selected.back(), excluded[ex_head]);
             ++ex_head;
-            // Re-position the swapped-in element (sorted insert).
-            std::sort(selected.begin(), selected.end());
+            std::size_t i = selected.size() - 1;
+            for (; i > 0 && in < selected[i - 1]; --i)
+                selected[i] = selected[i - 1];
+            selected[i] = in;
             ++iter;
         }
 
@@ -219,7 +224,8 @@ sadsTopK(const MatF &scores, int k, const SadsConfig &cfg)
 
     // Shard rows across the pool; per-shard counters are merged with
     // integer addition (order-independent), so totals match a serial
-    // run exactly. Per-row cost ~ S compares plus the sort passes.
+    // run exactly. Per-row cost ~ S compares plus one linear merge of
+    // each sorter chunk into a 2m buffer.
     ThreadPool &pool = ThreadPool::instance();
     std::vector<OpCounter> shard_ops(
         static_cast<std::size_t>(pool.threads()));

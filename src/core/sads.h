@@ -18,6 +18,17 @@
  * inputs), and the refinement loop, so the reduction vs a full-row
  * bitonic sort (the vanilla top-k stage) is measurable.
  *
+ * Software path: each segment keeps one sorted buffer of its best 2m
+ * survivors (m = per-segment quota). A sorter chunk's survivors are
+ * insertion-sorted and merged linearly into it, then it is truncated
+ * back to 2m; the clip low bound is its m-th entry. At the end the
+ * first m entries are the segment's selection and the next m exactly
+ * its strongest excluded candidates, since every survivor is one or
+ * the other. Refinement inserts each swapped-in element at its
+ * position instead of re-sorting. The OpCounter tallies above model
+ * the hardware core and exchange, not these std:: calls, so they do
+ * not depend on how the software orders its buffers.
+ *
  * Units: comparisons counted via OpCounter (cmps); quality is
  * top-k recall and covered softmax mass, both fractions in [0,1].
  * Assumes score rows follow the Fig. 8 Type-I/II mixture (the DCE);

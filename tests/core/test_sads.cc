@@ -218,5 +218,25 @@ TEST(Sads, ThreadCountInvariance)
     EXPECT_EQ(threaded.ops.total(), serial_res.ops.total());
 }
 
+TEST(SadsDeath, RejectsNegativeKAndInvertedRowRange)
+{
+    // A negative k once left every segment empty and then popped the
+    // empty selection; it and an inverted row range must fail loudly.
+    // Threadsafe style re-executes the binary, so pool threads other
+    // tests started never cross a fork.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    const MatF scores = scoresFor({0.0, 1.0, 0.0}, 2, 32);
+    std::vector<SadsRow> rows(scores.rows());
+    OpCounter ops;
+    EXPECT_DEATH(sadsTopKRows(scores, -1, {}, 0, 2, &rows, &ops),
+                 "assertion");
+    EXPECT_DEATH(sadsTopKRows(scores, 4, {}, 2, 1, &rows, &ops),
+                 "assertion");
+    // k = 0 and an empty range stay valid.
+    sadsTopKRows(scores, 0, {}, 0, 2, &rows, &ops);
+    sadsTopKRows(scores, 4, {}, 1, 1, &rows, &ops);
+    EXPECT_TRUE(rows[0].selected.empty());
+}
+
 } // namespace
 } // namespace sofa
