@@ -20,24 +20,24 @@ namespace sofa {
  * Mirrors the hardware LZC: the value is interpreted as an unsigned
  * magnitude occupying the low @p width bits; the count is the number of
  * zero bits above the most-significant set bit. An all-zero input yields
- * @p width (the hardware raises the all-zero flag `a`).
+ * @p width (the hardware raises the all-zero flag `a`). Constant time:
+ * one count-leading-zeros instruction over the masked window.
  *
- * @param value magnitude (must fit in @p width bits)
+ * @param value magnitude (bits above the low @p width are ignored)
  * @param width window width in bits (1..64)
  * @return number of leading zeros in [0, width]
  */
 constexpr int
 leadingZeros(std::uint64_t value, int width)
 {
-    if (value == 0)
+    // Bits above the window are ignored, as the LZC never sees them.
+    const std::uint64_t window =
+        width >= 64 ? ~std::uint64_t{0}
+                    : (std::uint64_t{1} << width) - 1;
+    const std::uint64_t v = value & window;
+    if (v == 0)
         return width;
-    int n = 0;
-    for (int bit = width - 1; bit >= 0; --bit) {
-        if (value & (std::uint64_t{1} << bit))
-            break;
-        ++n;
-    }
-    return n;
+    return __builtin_clzll(v) - (64 - width);
 }
 
 /**
@@ -52,12 +52,17 @@ lzExponent(std::uint64_t value, int width)
     return width - leadingZeros(value, width);
 }
 
-/** Absolute value of a signed integer, widened so INT_MIN is safe. */
+/**
+ * Absolute value of a signed integer, widened so INT_MIN is safe.
+ * Branch-free (two's-complement negate under a sign mask): the LZ
+ * encoders call it on operands of random sign.
+ */
 constexpr std::uint64_t
 absMagnitude(std::int64_t v)
 {
-    return v < 0 ? static_cast<std::uint64_t>(-(v + 1)) + 1
-                 : static_cast<std::uint64_t>(v);
+    const std::uint64_t u = static_cast<std::uint64_t>(v);
+    const std::uint64_t neg = 0 - (u >> 63); // all ones when v < 0
+    return (u ^ neg) - neg;
 }
 
 /** Left shift that saturates the shift amount instead of invoking UB. */

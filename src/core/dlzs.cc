@@ -1,5 +1,6 @@
 #include "core/dlzs.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -34,15 +35,12 @@ lzEncodeImpl(const Matrix<T> &m, int width, OpCounter *ops)
     out.codes = Matrix<LzCode>(m.rows(), m.cols());
     for (std::size_t i = 0; i < m.data().size(); ++i) {
         const std::int64_t v = m.data()[i];
+        // Branch-free: operand signs are random. A zero gets sign 0
+        // and LZ = width (leadingZeros' all-zero flag).
         LzCode c;
-        if (v == 0) {
-            c.sign = 0;
-            c.lz = static_cast<std::uint8_t>(width);
-        } else {
-            c.sign = v < 0 ? -1 : 1;
-            c.lz = static_cast<std::uint8_t>(
-                leadingZeros(absMagnitude(v), width));
-        }
+        c.sign = static_cast<std::int8_t>((v > 0) - (v < 0));
+        c.lz = static_cast<std::uint8_t>(
+            leadingZeros(absMagnitude(v), width));
         out.codes.data()[i] = c;
         if (ops)
             ops->cmpN(width); // LZC priority chain examines W bits
@@ -149,84 +147,164 @@ dlzsAPredictionScalar(const LzMatrix &q_lz, const MatI16 &k_hat,
 
 #if SOFA_SIMD_COMPILED_AVX2
 
-// The AVX2 prediction bodies work in four-wide int64 lanes: the
-// largest magnitude a DLZS product can reach is 2^15 << 16 = 2^31
-// (A-prediction with k = INT16_MIN and LZ = 0), which overflows
-// int32 but sits comfortably in int64, and vpsllvq gives the
-// per-lane variable shift Eq. 1c needs. All accumulation is
-// two's-complement addition, so lane order never changes a result:
-// the vector paths are bit-identical to the Scalar baselines, and op
-// tallies are reconstructed exactly from the zero-lane counts.
+// The AVX2 prediction bodies run each phase as one exact GEMM. The
+// DLZS product XOR(Sx, Sy) * |x| << (W - LZy) equals x * pow(y) with
+// pow(y) = Sy * 2^(W - LZy), so K-hat = X * pow(Wk) and
+// A-hat = pow(Q) * K-hat^T. Both operands are packed to doubles once
+// per call. Every product is an integer of magnitude <= 2^31
+// (|k| <= 2^15, |pow(q)| <= 2^16) and every partial sum of K such
+// terms stays below K * 2^31 <= 2^53, so each double multiply and add
+// is exact, the summation order is irrelevant and the final int64
+// conversion is exact: the results are bit-identical to the Scalar
+// baselines. The per-pair zero-eliminator tallies are closed-form:
+// pair (i, j, t) is shifted and added iff both operands at inner
+// index t are nonzero, so active = sum_t nzA_t * nzB_t.
 
 namespace {
 
-static_assert(sizeof(LzCode) == 2, "LzCode must pack sign+lz bytes");
-static_assert(offsetof(LzCode, sign) == 0 && offsetof(LzCode, lz) == 1,
-              "LzCode byte layout assumed by the AVX2 decode");
+/** Inner-dimension bound that keeps every partial sum <= 2^53. */
+constexpr std::size_t kMaxInner = std::size_t{1} << 22;
 
-/** Integer horizontal sum; int64 addition commutes, any order. */
-SOFA_TARGET_AVX2 inline std::int64_t
-hsumEpi64(__m256i v)
+/** Register tile: kTileRows rows x kTileCols doubles of C. */
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 12;
+
+/** pow(c) = Sc * 2^(W - LZc), or 0 for an eliminated code. */
+double
+lzPow(LzCode c, int width)
 {
-    const __m128i lo = _mm256_castsi256_si128(v);
-    const __m128i hi = _mm256_extracti128_si256(v, 1);
-    const __m128i s = _mm_add_epi64(lo, hi);
-    return _mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1);
+    SOFA_ASSERT(c.lz <= width);
+    if (c.isZero())
+        return 0.0;
+    const double mag =
+        static_cast<double>(std::int64_t{1} << (width - c.lz));
+    return c.sign < 0 ? -mag : mag;
 }
 
-/** |x| per int64 lane (values far from INT64_MIN here). */
-SOFA_TARGET_AVX2 inline __m256i
-absEpi64(__m256i x)
+/**
+ * C[M x N] = A[M x K] * B[K x N] packed for the AVX2 kernel: A is
+ * row-major, B is split into column panels of kTileCols (zero-padded
+ * past N), each panel K x kTileCols row-major. nzA / nzB count the
+ * nonzeros of A's column t and B's row t.
+ */
+struct PackedGemm
 {
-    const __m256i neg =
-        _mm256_cmpgt_epi64(_mm256_setzero_si256(), x);
-    return _mm256_sub_epi64(_mm256_xor_si256(x, neg), neg);
-}
+    std::size_t M = 0, N = 0, K = 0;
+    std::vector<double> a, b;
+    std::vector<std::int64_t> nzA, nzB;
 
-/** Negate lanes of @p v where @p flip is all-ones. */
-SOFA_TARGET_AVX2 inline __m256i
-negateWhere(__m256i v, __m256i flip)
-{
-    return _mm256_sub_epi64(_mm256_xor_si256(v, flip), flip);
-}
+    PackedGemm(std::size_t m, std::size_t n, std::size_t k)
+        : M(m), N(n), K(innerDim(k)), a(m * k),
+          b((n + kTileCols - 1) / kTileCols * kTileCols * k),
+          nzA(k, 0), nzB(k, 0)
+    {}
 
-/** Four consecutive LzCodes decoded to int64 lanes: sign-negative
- * mask, zero mask (sign == 0), and the lz field zero-extended. */
-struct Codes4
-{
-    __m256i signNeg;
-    __m256i zero;
-    __m256i lz;
+    static std::size_t
+    innerDim(std::size_t k)
+    {
+        SOFA_ASSERT(k <= kMaxInner);
+        return k;
+    }
+
+    void
+    setA(std::size_t i, std::size_t t, double v)
+    {
+        a[i * K + t] = v;
+        nzA[t] += v != 0.0;
+    }
+
+    void
+    setB(std::size_t t, std::size_t j, double v)
+    {
+        b[(j / kTileCols * K + t) * kTileCols + j % kTileCols] = v;
+        nzB[t] += v != 0.0;
+    }
+
+    /** The closed-form zero-eliminator tallies of the per-pair loop. */
+    void
+    chargeOps(OpCounter *ops) const
+    {
+        if (!ops)
+            return;
+        std::int64_t active = 0;
+        for (std::size_t t = 0; t < K; ++t)
+            active += nzA[t] * nzB[t];
+        ops->cmpN(static_cast<std::int64_t>(M * N * K) - active);
+        ops->shiftN(active);
+        ops->addN(active);
+    }
 };
 
-SOFA_TARGET_AVX2 inline Codes4
-loadCodes4(const LzCode *codes)
+/**
+ * One R x kTileCols tile of C: broadcast R elements of A per inner
+ * index and multiply-add them into three four-wide B vectors. Plain
+ * mul + add (every value is exact, so FMA would change nothing). The
+ * row loops are fully unrolled so acc[][] lives in registers; left
+ * rolled, GCC spills it to the stack on every inner step.
+ */
+template <std::size_t R>
+SOFA_TARGET_AVX2 inline void
+gemmTileAvx2(const double *a, std::size_t K, const double *panel,
+             std::int64_t *c, std::size_t ldc, std::size_t cols)
 {
-    const __m128i raw = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(codes));
-    const __m128i sign_shuf = _mm_setr_epi8(
-        0, 2, 4, 6, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
-    const __m128i lz_shuf = _mm_setr_epi8(
-        1, 3, 5, 7, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
-    const __m256i sign64 = _mm256_cvtepi8_epi64(
-        _mm_shuffle_epi8(raw, sign_shuf));
-    Codes4 c;
-    c.signNeg =
-        _mm256_cmpgt_epi64(_mm256_setzero_si256(), sign64);
-    c.zero =
-        _mm256_cmpeq_epi64(sign64, _mm256_setzero_si256());
-    c.lz = _mm256_cvtepu8_epi64(_mm_shuffle_epi8(raw, lz_shuf));
-    return c;
-}
-
-SOFA_TARGET_AVX2 inline int
-popcountMask4(__m256i lane_mask)
-{
-    return __builtin_popcount(static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(lane_mask))));
+    __m256d acc[R][3];
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r)
+        acc[r][0] = acc[r][1] = acc[r][2] = _mm256_setzero_pd();
+    for (std::size_t t = 0; t < K; ++t) {
+        const double *bt = panel + t * kTileCols;
+        const __m256d b0 = _mm256_loadu_pd(bt);
+        const __m256d b1 = _mm256_loadu_pd(bt + 4);
+        const __m256d b2 = _mm256_loadu_pd(bt + 8);
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m256d av = _mm256_broadcast_sd(a + r * K + t);
+            acc[r][0] = _mm256_add_pd(acc[r][0], _mm256_mul_pd(av, b0));
+            acc[r][1] = _mm256_add_pd(acc[r][1], _mm256_mul_pd(av, b1));
+            acc[r][2] = _mm256_add_pd(acc[r][2], _mm256_mul_pd(av, b2));
+        }
+    }
+    double out[kTileCols];
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+        _mm256_storeu_pd(out, acc[r][0]);
+        _mm256_storeu_pd(out + 4, acc[r][1]);
+        _mm256_storeu_pd(out + 8, acc[r][2]);
+        for (std::size_t j = 0; j < cols; ++j)
+            c[r * ldc + j] = static_cast<std::int64_t>(out[j]);
+    }
 }
 
 SOFA_TARGET_AVX2 MatI64
+gemmAvx2(const PackedGemm &g, OpCounter *ops)
+{
+    MatI64 c(g.M, g.N, 0);
+    // Panel-outer: one K x kTileCols panel of B stays in L1 while
+    // every row block of A streams past it.
+    for (std::size_t j0 = 0; j0 < g.N; j0 += kTileCols) {
+        const double *panel = g.b.data() + j0 * g.K;
+        const std::size_t cols = std::min(kTileCols, g.N - j0);
+        std::size_t i = 0;
+        for (; i + kTileRows <= g.M; i += kTileRows)
+            gemmTileAvx2<kTileRows>(g.a.data() + i * g.K, g.K, panel,
+                                    c.rowPtr(i) + j0, g.N, cols);
+        const std::size_t tail = g.M - i;
+        if (tail == 0)
+            continue;
+        const double *a = g.a.data() + i * g.K;
+        std::int64_t *ci = c.rowPtr(i) + j0;
+        switch (tail) {
+        case 3: gemmTileAvx2<3>(a, g.K, panel, ci, g.N, cols); break;
+        case 2: gemmTileAvx2<2>(a, g.K, panel, ci, g.N, cols); break;
+        case 1: gemmTileAvx2<1>(a, g.K, panel, ci, g.N, cols); break;
+        default: break;
+        }
+    }
+    g.chargeOps(ops);
+    return c;
+}
+
+MatI64
 dlzsKPredictionAvx2(const MatI8 &tokens, const LzMatrix &wk_lz,
                     OpCounter *ops)
 {
@@ -234,70 +312,17 @@ dlzsKPredictionAvx2(const MatI8 &tokens, const LzMatrix &wk_lz,
     const std::size_t n = tokens.cols();
     const std::size_t d = wk_lz.cols();
 
-    MatI64 k_hat(S, d, 0);
-    std::int64_t skips = 0;  // zero-eliminated pairs (cmp each)
-    std::int64_t active = 0; // shifted-and-accumulated pairs
-    const __m256i w_width = _mm256_set1_epi64x(8);
-    for (std::size_t i = 0; i < S; ++i) {
-        const std::int8_t *xi = tokens.rowPtr(i);
-        std::int64_t *acc = k_hat.rowPtr(i);
-        // i-t-j order: codes row t is contiguous over j, and int64
-        // accumulation into the k_hat row commutes with the scalar
-        // baseline's i-j-t order.
-        for (std::size_t t = 0; t < n; ++t) {
-            const std::int64_t x = xi[t];
-            if (x == 0) {
-                skips += static_cast<std::int64_t>(d);
-                continue;
-            }
-            const __m256i xmag =
-                _mm256_set1_epi64x(x < 0 ? -x : x);
-            const __m256i xneg =
-                _mm256_set1_epi64x(x < 0 ? -1 : 0);
-            const LzCode *row = wk_lz.codes.rowPtr(t);
-            std::int64_t zeros_t = 0;
-            std::size_t j = 0;
-            for (; j + 4 <= d; j += 4) {
-                const Codes4 c = loadCodes4(row + j);
-                const __m256i exp =
-                    _mm256_sub_epi64(w_width, c.lz);
-                const __m256i mag =
-                    _mm256_sllv_epi64(xmag, exp);
-                const __m256i val = _mm256_andnot_si256(
-                    c.zero,
-                    negateWhere(
-                        mag, _mm256_xor_si256(xneg, c.signNeg)));
-                const __m256i prev = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(acc + j));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i *>(acc + j),
-                    _mm256_add_epi64(prev, val));
-                zeros_t += popcountMask4(c.zero);
-            }
-            std::int64_t act_t =
-                static_cast<std::int64_t>(j) - zeros_t;
-            for (; j < d; ++j) {
-                const LzCode w = row[j];
-                if (w.isZero()) {
-                    ++zeros_t;
-                    continue;
-                }
-                acc[j] += dlzsProduct(x, 8, w, 8);
-                ++act_t;
-            }
-            skips += zeros_t;
-            active += act_t;
-        }
-    }
-    if (ops) {
-        ops->cmpN(skips);
-        ops->shiftN(active);
-        ops->addN(active);
-    }
-    return k_hat;
+    PackedGemm g(S, d, n);
+    for (std::size_t i = 0; i < S; ++i)
+        for (std::size_t t = 0; t < n; ++t)
+            g.setA(i, t, tokens(i, t));
+    for (std::size_t t = 0; t < n; ++t)
+        for (std::size_t j = 0; j < d; ++j)
+            g.setB(t, j, lzPow(wk_lz.codes(t, j), 8));
+    return gemmAvx2(g, ops);
 }
 
-SOFA_TARGET_AVX2 MatI64
+MatI64
 dlzsAPredictionAvx2(const LzMatrix &q_lz, const MatI16 &k_hat,
                     OpCounter *ops)
 {
@@ -305,64 +330,14 @@ dlzsAPredictionAvx2(const LzMatrix &q_lz, const MatI16 &k_hat,
     const std::size_t S = k_hat.rows();
     const std::size_t d = k_hat.cols();
 
-    MatI64 a_hat(T, S, 0);
-    std::int64_t skips = 0;
-    std::int64_t active = 0;
-    const __m256i q_width = _mm256_set1_epi64x(16);
-    const __m256i zero = _mm256_setzero_si256();
-    for (std::size_t i = 0; i < T; ++i) {
-        const LzCode *qrow = q_lz.codes.rowPtr(i);
-        for (std::size_t j = 0; j < S; ++j) {
-            const std::int16_t *kj = k_hat.rowPtr(j);
-            __m256i vacc = zero;
-            std::int64_t zeros_ij = 0;
-            std::size_t t = 0;
-            for (; t + 4 <= d; t += 4) {
-                const __m256i k64 =
-                    _mm256_cvtepi16_epi64(_mm_loadl_epi64(
-                        reinterpret_cast<const __m128i *>(kj +
-                                                          t)));
-                const Codes4 c = loadCodes4(qrow + t);
-                const __m256i kzero =
-                    _mm256_cmpeq_epi64(k64, zero);
-                const __m256i skip =
-                    _mm256_or_si256(kzero, c.zero);
-                const __m256i kneg =
-                    _mm256_cmpgt_epi64(zero, k64);
-                const __m256i exp =
-                    _mm256_sub_epi64(q_width, c.lz);
-                const __m256i mag =
-                    _mm256_sllv_epi64(absEpi64(k64), exp);
-                const __m256i val = _mm256_andnot_si256(
-                    skip,
-                    negateWhere(
-                        mag, _mm256_xor_si256(kneg, c.signNeg)));
-                vacc = _mm256_add_epi64(vacc, val);
-                zeros_ij += popcountMask4(skip);
-            }
-            std::int64_t acc = hsumEpi64(vacc);
-            std::int64_t act_ij =
-                static_cast<std::int64_t>(t) - zeros_ij;
-            for (; t < d; ++t) {
-                const LzCode qc = qrow[t];
-                if (kj[t] == 0 || qc.isZero()) {
-                    ++zeros_ij;
-                    continue;
-                }
-                acc += dlzsProduct(kj[t], 16, qc, 16);
-                ++act_ij;
-            }
-            a_hat(i, j) = acc;
-            skips += zeros_ij;
-            active += act_ij;
-        }
-    }
-    if (ops) {
-        ops->cmpN(skips);
-        ops->shiftN(active);
-        ops->addN(active);
-    }
-    return a_hat;
+    PackedGemm g(T, S, d);
+    for (std::size_t i = 0; i < T; ++i)
+        for (std::size_t t = 0; t < d; ++t)
+            g.setA(i, t, lzPow(q_lz.codes(i, t), 16));
+    for (std::size_t j = 0; j < S; ++j)
+        for (std::size_t t = 0; t < d; ++t)
+            g.setB(t, j, k_hat(j, t));
+    return gemmAvx2(g, ops);
 }
 
 } // namespace

@@ -86,11 +86,15 @@ std::int64_t dlzsProduct(std::int64_t x, int x_width, LzCode y,
  *                zero-eliminator comparisons
  * @return int64 accumulators [S x d] (caller truncates to 16 bit)
  *
- * Runtime-dispatched (tensor/simd.h): the AVX2 body vectorizes the
- * shift-accumulate over contiguous weight-code rows. Accumulation is
- * two's-complement int64 addition — associative and commutative — so
- * the result and the OpCounter totals are bit-identical to the
- * Scalar baseline, which keeps the seed's loop nest verbatim.
+ * Runtime-dispatched (tensor/simd.h). The DLZS term x << (W - LZw)
+ * with w's sign equals x * pow(w), pow(w) = Sw * 2^(W - LZw), so the
+ * AVX2 body packs X and pow(Wk) to doubles once per call and runs
+ * one register-blocked GEMM. Every product and partial sum is an
+ * integer below 2^53 (inner dimension <= 2^22, asserted, as is
+ * LZ <= W), so the doubles are exact in any order and the result is
+ * bit-identical to the Scalar baseline, which keeps the seed's loop
+ * nest verbatim. The op tally is closed-form from per-inner-index
+ * nonzero counts and equals the baseline's per-pair count.
  */
 MatI64 dlzsKPrediction(const MatI8 &tokens, const LzMatrix &wk_lz,
                        OpCounter *ops = nullptr);
@@ -105,8 +109,10 @@ MatI64 dlzsKPredictionScalar(const MatI8 &tokens,
  * @param k_hat  truncated K-hat [S x d]
  * @return int64 score estimates [T x S]
  *
- * Runtime-dispatched like dlzsKPrediction; bit-identical to the
- * Scalar baseline (including op totals) at every dispatch level.
+ * Runtime-dispatched like dlzsKPrediction, as the exact GEMM
+ * pow(Q) * K-hat^T (each product at most 2^15 * 2^16 = 2^31);
+ * bit-identical to the Scalar baseline, op tallies included, at
+ * every dispatch level.
  */
 MatI64 dlzsAPrediction(const LzMatrix &q_lz, const MatI16 &k_hat,
                        OpCounter *ops = nullptr);

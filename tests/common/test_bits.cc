@@ -36,6 +36,51 @@ TEST(LeadingZeros, SixteenBitWindow)
     EXPECT_EQ(leadingZeros(0x00FF, 16), 8);
 }
 
+/** The per-bit priority-chain loop leadingZeros used to run. */
+int
+leadingZerosLoop(std::uint64_t value, int width)
+{
+    if (value == 0)
+        return width;
+    int n = 0;
+    for (int bit = width - 1; bit >= 0; --bit) {
+        if (value & (std::uint64_t{1} << bit))
+            break;
+        ++n;
+    }
+    return n;
+}
+
+static_assert(leadingZeros(0, 8) == 8 && leadingZeros(1, 8) == 7 &&
+                  leadingZeros(0x100, 8) == 8,
+              "leadingZeros stays constexpr");
+
+TEST(LeadingZeros, MatchesBitLoopOnEveryValue)
+{
+    for (int width : {8, 16}) {
+        for (std::uint64_t v = 0; v < (std::uint64_t{1} << width); ++v)
+            ASSERT_EQ(leadingZeros(v, width), leadingZerosLoop(v, width))
+                << "v=" << v << " width=" << width;
+    }
+}
+
+TEST(LeadingZeros, IgnoresBitsAboveTheWindow)
+{
+    const std::uint64_t above[] = {
+        0x100, 0x1FF, 0x1234, 0xFFFF0000, 0x8000000000000000ull,
+        0xFFFFFFFFFFFFFFFFull, 0x10001, 0xFFFFFF00ull};
+    for (int width : {1, 8, 16, 32, 63, 64}) {
+        for (std::uint64_t v : above)
+            EXPECT_EQ(leadingZeros(v, width), leadingZerosLoop(v, width))
+                << "v=" << v << " width=" << width;
+    }
+    EXPECT_EQ(leadingZeros(0x100, 8), 8); // only the flag bit above
+    EXPECT_EQ(leadingZeros(0x1FF, 8), 0);
+    EXPECT_EQ(leadingZeros(0x10001, 16), 15);
+    EXPECT_EQ(leadingZeros(1, 64), 63);
+    EXPECT_EQ(leadingZeros(0, 64), 64);
+}
+
 TEST(LzExponent, MatchesEquation1a)
 {
     // x = M * 2^(W - LZ): for x=20, W=8, LZ=3 -> exponent 5

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/threadpool.h"
 #include "core/engine.h"
+#include "tensor/simd.h"
 #include "testutil.h"
 
 namespace sofa {
@@ -343,6 +346,62 @@ TEST(Engine, DeterministicAcrossRuns)
     ASSERT_EQ(a.heads.size(), b.heads.size());
     for (std::size_t i = 0; i < a.heads.size(); ++i)
         expectSameResult(a.heads[i].result, b.heads[i].result);
+}
+
+/** Every OpCounter field, not just the total. */
+void
+expectSameOpFields(const OpCounter &a, const OpCounter &b,
+                   const char *what)
+{
+    EXPECT_EQ(a.adds(), b.adds()) << what;
+    EXPECT_EQ(a.cmps(), b.cmps()) << what;
+    EXPECT_EQ(a.shifts(), b.shifts()) << what;
+    EXPECT_EQ(a.muls(), b.muls()) << what;
+    EXPECT_EQ(a.divs(), b.divs()) << what;
+    EXPECT_EQ(a.exps(), b.exps()) << what;
+}
+
+TEST(Engine, BitExactAcrossSimdLevels)
+{
+    if (simd::detected() != simd::Level::Avx2)
+        GTEST_SKIP() << "host has no AVX2 level to compare against";
+    ModelWorkloadSpec prefill;
+    prefill.batch = 1;
+    prefill.heads = 2;
+    prefill.seq = prefill.queries = 256;
+    std::vector<ModelWorkloadSpec> specs{prefill};
+    for (int new_tokens : {1, 4}) {
+        ModelWorkloadSpec decode = prefill;
+        decode.pastLen = 300;
+        decode.newTokens = new_tokens;
+        specs.push_back(decode);
+    }
+    for (const ModelWorkloadSpec &spec : specs) {
+        const auto mw = generateModelWorkload(spec);
+        EngineResult scalar, avx2;
+        {
+            simd::ScopedLevel lvl(simd::Level::Scalar);
+            scalar = runEngine(mw, EngineConfig{});
+        }
+        {
+            simd::ScopedLevel lvl(simd::Level::Avx2);
+            avx2 = runEngine(mw, EngineConfig{});
+        }
+        SCOPED_TRACE("newTokens=" + std::to_string(spec.newTokens));
+        ASSERT_EQ(scalar.heads.size(), avx2.heads.size());
+        for (std::size_t i = 0; i < scalar.heads.size(); ++i) {
+            const PipelineResult &a = scalar.heads[i].result;
+            const PipelineResult &b = avx2.heads[i].result;
+            expectSameResult(a, b);
+            expectSameOpFields(a.predictionOps, b.predictionOps,
+                               "prediction");
+            expectSameOpFields(a.sortOps, b.sortOps, "sort");
+            expectSameOpFields(a.formalOps, b.formalOps, "formal");
+            EXPECT_EQ(scalar.heads[i].keysCached,
+                      avx2.heads[i].keysCached);
+        }
+        expectSameOpFields(scalar.totalOps(), avx2.totalOps(), "total");
+    }
 }
 
 } // namespace
